@@ -73,7 +73,7 @@ pgo: profile
 # leave every table bit unchanged, with no data races. Includes the
 # cluster's 1-node-vs-3-node byte-identity check.
 determinism:
-	$(GO) test -race -count=1 -run 'Determinism|Shard|OrderIndependence|PartitionInvariance' ./internal/experiment/ ./internal/stats/ ./internal/cluster/
+	$(GO) test -race -count=1 -run 'Determinism|Shard|OrderIndependence|PartitionInvariance|BatchScalarEquivalence|WarmContextRerun' ./internal/experiment/ ./internal/stats/ ./internal/cluster/
 
 # Short native-fuzz smoke (~60s): the planner over its whole input
 # envelope, batch-vs-scalar kernel equivalence on randomized

@@ -212,6 +212,27 @@ func TestBatchPlannerLedger(t *testing.T) {
 	}
 }
 
+// TestBatchWarmsScalarPlans pins that the batch kernel and the scalar
+// path share one plan cache: after a batched fault-free cell, running
+// the same scheme and cell through the scalar path on the same context
+// replays the batch's plan instead of computing it again.
+func TestBatchWarmsScalarPlans(t *testing.T) {
+	s := NewAdaptDVSSCP()
+	p := mustParams(t, 0.78, 1, 0, 5, checkpoint.SCPSetting()) // λ=0: no replans
+	seeds, _ := shardSeeds(3, 16)
+	rctx, bctx := sim.NewRunContext(), sim.NewBatchContext()
+	if !sim.RunBatch(rctx, bctx, s, p, seeds) {
+		t.Fatal("kernel refused a batchable configuration")
+	}
+	h0, m0 := PlannerCacheStats(rctx)
+	s.RunCtx(rctx, p, rctx.Reseed(seeds[0]))
+	h1, m1 := PlannerCacheStats(rctx)
+	if h1 == h0 || m1 != m0 {
+		t.Fatalf("scalar run after a batch: %d new hits, %d new misses; want hits and no misses",
+			h1-h0, m1-m0)
+	}
+}
+
 // FuzzBatchScalarEquivalence drives the equivalence property over
 // randomized task/fault/cost/scheme parameters: whatever the fuzzer
 // finds, batch and scalar execution must agree byte for byte on the

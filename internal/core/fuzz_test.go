@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
+	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -78,7 +79,7 @@ func FuzzPlannerChoose(f *testing.F) {
 		}
 		tk := task.Task{Name: "fuzz", Cycles: 7800, Deadline: 10000, FaultBudget: 5}
 
-		pl := NewPlanner(cfg, cpu.TwoSpeed(), costs, tk)
+		pl := cfg.plannerFor(sim.NewRunContext(), sim.Params{Costs: costs, Task: tk})
 		plan := pl.Plan(rc, rd, lam, rf)
 		if plan.BadConfig {
 			if cfg.DVS {
@@ -102,8 +103,7 @@ func FuzzPlannerChoose(f *testing.F) {
 		if again := pl.Plan(rc, rd, lam, rf); again != plan {
 			t.Fatalf("warm replan diverged: %+v vs %+v", again, plan)
 		}
-		cold := NewPlanner(cfg, cpu.TwoSpeed(), costs, tk)
-		cold.nocache = true
+		cold := NewPlanner(cfg, cpu.TwoSpeed(), costs, tk) // uncached
 		if fresh := cold.Plan(rc, rd, lam, rf); fresh != plan {
 			t.Fatalf("uncached plan diverged: %+v vs %+v", fresh, plan)
 		}

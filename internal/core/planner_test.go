@@ -75,7 +75,7 @@ func TestPlannerMemoHitsFaultFree(t *testing.T) {
 // plans for repeated inputs and distinguishes every changed input.
 func TestPlannerMemoIsExactInput(t *testing.T) {
 	p := params(0.78, 1, 0.0014, 5, checkpoint.SCPSetting())
-	pl := NewPlanner(*NewAdaptDVSSCP(), p.CPUModel(), p.Costs, p.Task)
+	pl := NewAdaptDVSSCP().plannerFor(sim.NewRunContext(), p)
 
 	base := pl.Plan(p.Task.Cycles, p.Task.Deadline, p.Lambda, 5)
 	again := pl.Plan(p.Task.Cycles, p.Task.Deadline, p.Lambda, 5)
@@ -83,7 +83,7 @@ func TestPlannerMemoIsExactInput(t *testing.T) {
 		t.Fatalf("identical inputs, different plans: %+v vs %+v", base, again)
 	}
 
-	fresh := NewPlanner(*NewAdaptDVSSCP(), p.CPUModel(), p.Costs, p.Task)
+	fresh := NewPlanner(*NewAdaptDVSSCP(), p.CPUModel(), p.Costs, p.Task) // uncached
 	if got := fresh.Plan(p.Task.Cycles, p.Task.Deadline, p.Lambda, 5); got != base {
 		t.Fatalf("memoised plan differs from fresh computation: %+v vs %+v", base, got)
 	}
@@ -109,7 +109,8 @@ func TestPlannerBadFixedFrequency(t *testing.T) {
 // TestPlannerScratchInvalidation: a context that served one cell must
 // never hand a stale planner to a different scheme configuration or
 // platform — and the pool must hand the original planner back when the
-// first configuration returns.
+// first configuration returns. Planners sharing the context's plan
+// cache must never read each other's plans for the same state.
 func TestPlannerScratchInvalidation(t *testing.T) {
 	rctx := sim.NewRunContext()
 	pA := params(0.78, 1, 0.0014, 5, checkpoint.SCPSetting())
@@ -121,10 +122,16 @@ func TestPlannerScratchInvalidation(t *testing.T) {
 		t.Fatal("planner not pooled in scratch")
 	}
 	plA := pm.pls[0]
+	if len(pm.sets) != planSetsCell {
+		t.Fatalf("one-cell context holds %d cache sets, want %d", len(pm.sets), planSetsCell)
+	}
 
 	NewAdaptDVSCCP().RunCtx(rctx, pB, rctx.Reseed(1))
 	if pm.pls[0] == plA {
 		t.Fatal("context reused a planner across different scheme/cell configurations")
+	}
+	if len(pm.sets) != planSets {
+		t.Fatalf("two-planner context holds %d cache sets, want %d", len(pm.sets), planSets)
 	}
 
 	// Returning to the first configuration must surface the pooled
@@ -136,6 +143,26 @@ func TestPlannerScratchInvalidation(t *testing.T) {
 	}
 	if pm.pls[0] != plA {
 		t.Fatal("returning configuration rebuilt its planner instead of reusing the pooled one")
+	}
+
+	// Two configurations planning the identical (rc, rd, λ, rf) through
+	// the shared cache: only the planner id tells their entries apart.
+	slow, fast := NewAdaptSCP(1), NewAdaptSCP(2)
+	plSlow, plFast := slow.plannerFor(rctx, pA), fast.plannerFor(rctx, pA)
+	rc, rd := pA.Task.Cycles, pA.Task.Deadline
+	for pass := 0; pass < 2; pass++ { // pass 1 replays from the cache
+		for _, c := range []struct {
+			s  *Adaptive
+			pl *Planner
+		}{{slow, plSlow}, {fast, plFast}} {
+			want := NewPlanner(*c.s, pA.CPUModel(), pA.Costs, pA.Task).Plan(rc, rd, pA.Lambda, 5)
+			if got := c.pl.Plan(rc, rd, pA.Lambda, 5); got != want {
+				t.Fatalf("%s pass %d: shared cache served %+v, want %+v", c.s.Name(), pass, got, want)
+			}
+		}
+	}
+	if plSlow.Plan(rc, rd, pA.Lambda, 5) == plFast.Plan(rc, rd, pA.Lambda, 5) {
+		t.Fatal("f=1 and f=2 planned identically: the shared-state check proves nothing")
 	}
 }
 

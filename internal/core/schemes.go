@@ -231,7 +231,7 @@ func (s *Adaptive) Run(p sim.Params, src *rng.Source) sim.Result {
 }
 
 // RunCtx implements sim.ContextScheme: like Run, but reusing the
-// context's engine buffers and its cached Planner (plan memo included)
+// context's engine buffers and its pooled Planner (plan cache included)
 // across repetitions of the same cell.
 func (s *Adaptive) RunCtx(rc *sim.RunContext, p sim.Params, src *rng.Source) sim.Result {
 	return s.run(rc.Engine(p, src), s.plannerFor(rc, p), p)

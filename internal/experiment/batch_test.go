@@ -13,8 +13,8 @@ import (
 // kernels is identical — every summary bit — to the same grid forced
 // through the scalar reference loop. Table 1a sweeps λ with shared
 // planners and reuses worker contexts across cells, so this also
-// exercises the batch plan cache's cross-cell invalidation in the
-// exact shape production runs have.
+// exercises the context-wide plan cache's planner-id and λ keying in
+// the exact shape production runs have.
 func TestTableBatchScalarEquivalence(t *testing.T) {
 	spec, err := TableByID("1a")
 	if err != nil {

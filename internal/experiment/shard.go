@@ -235,10 +235,11 @@ func (r Runner) runShards(ctx context.Context, cells []*cellState, onDone func(*
 // workerCtx bundles a worker's reusable simulation contexts. Pooled at
 // package level so repeated table runs in one process — the bench
 // harness and the serve daemon's steady state — hand workers contexts
-// whose planner pools, plan caches and arena buffers are already warm
-// from the previous run. Warm state never changes results: planners are
-// exact-input memos and the batch plan cache keys on the full planning
-// state, both pinned by the scalar-equivalence tests.
+// whose planner pools, plan cache and arena buffers are already warm
+// from the previous run. Warm state never changes results: the plan
+// cache in rctx, shared by the scalar and batch paths, keys on the full
+// planning state and the planner's id, pinned by the scalar-equivalence
+// tests.
 type workerCtx struct {
 	rctx *sim.RunContext
 	bctx *sim.BatchContext

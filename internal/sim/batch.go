@@ -88,7 +88,8 @@ func (b *BatchContext) Source() *rng.Source { return &b.src }
 func (b *BatchContext) Arrivals() *fault.Arrivals { return &b.arr }
 
 // Scratch returns the opaque per-context cache slot set by SetScratch
-// (nil initially). Package core parks its batch plan cache here.
+// (nil initially). Package core parks its kernel scratch here: the
+// bound planner, per-speed costs and fault-free prefix arrays.
 func (b *BatchContext) Scratch() any { return b.scratch }
 
 // SetScratch replaces the per-context cache slot.

@@ -5,8 +5,8 @@ import "repro/internal/rng"
 // RunContext is the per-worker reusable state behind a sequence of
 // simulated executions: one engine (with its meter, fault-process and
 // checkpoint-store buffers), one random stream, and a scratch slot that
-// schemes use to keep per-cell caches (package core parks its plan memo
-// there). A RunContext is strictly private to one goroutine — sharing it
+// schemes use to keep per-cell caches (package core parks its planner
+// pool and plan cache there). A RunContext is strictly private to one goroutine — sharing it
 // would corrupt runs; the experiment runner gives each worker its own.
 //
 // Everything a RunContext amortises is keyed on exact inputs or reset on
@@ -39,7 +39,7 @@ func (rc *RunContext) Engine(p Params, src *rng.Source) *Engine {
 
 // Scratch returns the opaque per-context cache slot set by SetScratch
 // (nil initially). Schemes store per-cell state here — e.g. the plan
-// memo — and must key it on their full configuration, because one
+// cache — and must key it on their full configuration, because one
 // context serves many cells over its lifetime.
 func (rc *RunContext) Scratch() any { return rc.scratch }
 
