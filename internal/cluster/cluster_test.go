@@ -21,6 +21,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -510,14 +511,34 @@ func TestClusterRetryAfterPropagation(t *testing.T) {
 	want := localGridJSON(t, spec)
 
 	// One single-slot worker that sheds under the coordinator's 4-deep
-	// dispatch pressure, one wide-open worker.
+	// dispatch pressure, one wide-open worker. The worker writes its
+	// reply while still holding its slot, so the tiny worker's replies
+	// are held there: the first until a concurrent dispatch has been
+	// shed (bounded), the rest for 5ms. Shedding then does not depend on
+	// how fast a unit computes.
 	var sheds atomic.Int64
-	countSheds := func(h http.Handler) http.Handler {
+	shed := make(chan struct{})
+	var firstShed, firstReply sync.Once
+	hold := func() {
+		held := false
+		firstReply.Do(func() {
+			held = true
+			select {
+			case <-shed:
+			case <-time.After(5 * time.Second):
+			}
+		})
+		if !held {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	slowExec := func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			rec := httptest.NewRecorder()
+			rec := slotHolder{httptest.NewRecorder(), hold}
 			h.ServeHTTP(rec, r)
 			if rec.Code == http.StatusServiceUnavailable {
 				sheds.Add(1)
+				firstShed.Do(func() { close(shed) })
 			}
 			for k, vs := range rec.Header() {
 				for _, hv := range vs {
@@ -526,13 +547,6 @@ func TestClusterRetryAfterPropagation(t *testing.T) {
 			}
 			rw.WriteHeader(rec.Code)
 			rw.Write(rec.Body.Bytes())
-		})
-	}
-	slowExec := func(h http.Handler) http.Handler {
-		inner := countSheds(h)
-		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			time.Sleep(5 * time.Millisecond) // hold the one slot long enough to shed
-			inner.ServeHTTP(rw, r)
 		})
 	}
 	_, tiny := startWorker(t, cluster.WorkerConfig{MaxInflight: 1, RetryAfter: time.Second}, slowExec)
@@ -559,6 +573,21 @@ func TestClusterRetryAfterPropagation(t *testing.T) {
 		t.Skip("shed never triggered on this scheduling — nothing to assert")
 	}
 	t.Logf("sheds %d, holds applied %d", sheds.Load(), holds)
+}
+
+// slotHolder records a worker reply and runs hold before a 200 header
+// is written — the point where the worker still holds the unit's
+// inflight slot.
+type slotHolder struct {
+	*httptest.ResponseRecorder
+	hold func()
+}
+
+func (s slotHolder) WriteHeader(code int) {
+	if code == http.StatusOK {
+		s.hold()
+	}
+	s.ResponseRecorder.WriteHeader(code)
 }
 
 // TestCoordinatorJournalResume crashes the coordinator mid-job
