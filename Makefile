@@ -12,8 +12,11 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet plus the formatting gate: any file gofmt would rewrite fails.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

@@ -109,6 +109,67 @@ func TestExtensionBatchScalarEquivalence(t *testing.T) {
 	}
 }
 
+// TestExtensionSchedulingDeterminism pins the row-scheduled extension
+// runner on the store and imperfect-FT tables, E3 and E4, whose columns
+// mostly run the scalar engine: the batch kernel vs the forced-scalar
+// loop, one worker vs three, and 7-rep shards vs the default all yield
+// the same table as running every cell alone through RunCell. Summaries
+// are compared rendered, not with ==: E3 cells with P=0 carry E=NaN.
+func TestExtensionSchedulingDeterminism(t *testing.T) {
+	const reps, seed = 24, 17
+	render := func(tbl Table) []string {
+		var out []string
+		for _, row := range tbl.Rows {
+			for _, c := range row.Cells {
+				out = append(out, fmt.Sprintf("U=%v λ=%v %s %+v", row.U, row.Lambda, c.Scheme, c.Summary))
+			}
+		}
+		return out
+	}
+	for _, spec := range ExtensionTables()[2:] {
+		schemes, err := ExtensionSchemes(spec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Reference: every cell on its own, the per-cell schedule.
+		base := Runner{Reps: reps, Seed: seed, Workers: 2}
+		var want []string
+		for _, u := range spec.Us {
+			for _, lam := range spec.Lambdas {
+				for _, s := range schemes {
+					sum, err := base.RunCell(spec, s, u, lam)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, fmt.Sprintf("U=%v λ=%v %s %+v", u, lam, s.Name(), sum))
+				}
+			}
+		}
+		variants := map[string]Runner{
+			"default":   base,
+			"scalar":    {Reps: reps, Seed: seed, Workers: 2, DisableBatch: true},
+			"workers=1": {Reps: reps, Seed: seed, Workers: 1},
+			"workers=3": {Reps: reps, Seed: seed, Workers: 3},
+			"shard=7":   {Reps: reps, Seed: seed, Workers: 2, ShardSize: 7},
+		}
+		for name, r := range variants {
+			tbl, err := r.RunExtensionTable(spec)
+			if err != nil {
+				t.Fatalf("%s %s: %v", spec.ID, name, err)
+			}
+			got := render(tbl)
+			if len(got) != len(want) {
+				t.Fatalf("%s %s: %d cells, want %d", spec.ID, name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s %s:\ngot:  %s\nwant: %s", spec.ID, name, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestEagerBatchScalarEquivalence pins the eager-DVS ablation (and its
 // combination with online estimation) cell-for-cell against the scalar
 // reference — the schemes the governor-idealisation benchmarks run,

@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -425,7 +426,7 @@ func (r Runner) RunCell(spec Spec, scheme sim.Scheme, u, lambda float64) (stats.
 func (r Runner) RunCellCtx(ctx context.Context, spec Spec, scheme sim.Scheme, u, lambda float64) (stats.Summary, error) {
 	c := r.newCellState(spec, 0, 0, u, lambda, scheme)
 	var out stats.Summary
-	err := r.runShards(ctx, []*cellState{c}, func(_ *cellState, sum stats.Summary, _, _ int) {
+	err := r.runShards(ctx, []*cellState{c}, func(_ *cellState, sum stats.Summary) {
 		out = sum
 	})
 	if err != nil {
@@ -508,32 +509,67 @@ func (r Runner) RunTable(spec Spec) (Table, error) {
 // seeds, so worker count, shard size and steal order cannot affect any
 // Summary bit.
 func (r Runner) RunTableCtx(ctx context.Context, spec Spec) (Table, error) {
-	schemes := spec.Schemes()
+	return r.runGrid(ctx, spec, spec.Schemes(), false)
+}
+
+// runGrid runs every (grid point × scheme) cell of spec and assembles
+// the table, reporting each finished cell through Progress and OnCell
+// with table-wide done/total counts. byRow schedules one grid row's
+// cells per shard pool, rows in order; otherwise the whole table is one
+// pool. Results depend only on per-rep seeds, so the choice never moves
+// a Summary bit: a pool bounds how many cells — and so how many live
+// stats accumulators — are in flight at once, and pays one barrier at
+// its tail. On error the remaining cells still drain, and the partial
+// table is returned alongside the first error so completed cells are
+// not lost.
+func (r Runner) runGrid(ctx context.Context, spec Spec, schemes []sim.Scheme, byRow bool) (Table, error) {
 	rows := make([]Row, 0, len(spec.Us)*len(spec.Lambdas))
-	var cells []*cellState
+	width := 14 // pad the scheme column to the table's longest name
+	for _, s := range schemes {
+		width = max(width, utf8.RuneCountInString(s.Name()))
+	}
 	for _, u := range spec.Us {
 		for _, lam := range spec.Lambdas {
-			rowIdx := len(rows)
 			row := Row{U: u, Lambda: lam, Cells: make([]CellResult, len(schemes))}
 			for ci, s := range schemes {
 				row.Cells[ci] = CellResult{Scheme: s.Name()}
-				cells = append(cells, r.newCellState(spec, rowIdx, ci, u, lam, s))
 			}
 			rows = append(rows, row)
 		}
 	}
-	err := r.runShards(ctx, cells, func(c *cellState, sum stats.Summary, done, total int) {
-		rows[c.rowIdx].Cells[c.colIdx].Summary = sum
-		rows[c.rowIdx].Cells[c.colIdx].Done = true
+	done, total := 0, len(rows)*len(schemes)
+	onDone := func(c *cellState, sum stats.Summary) {
+		cell := &rows[c.rowIdx].Cells[c.colIdx]
+		cell.Summary, cell.Done = sum, true
+		done++
 		if r.Progress != nil {
-			r.Progress("table %s U=%.2f λ=%g %-14s P=%.4f E=%.0f",
-				spec.ID, c.u, c.lambda, c.scheme.Name(), sum.P, sum.E)
+			r.Progress("table %s U=%.2f λ=%g %-*s P=%.4f E=%.0f",
+				spec.ID, c.u, c.lambda, width, c.scheme.Name(), sum.P, sum.E)
 		}
 		if r.OnCell != nil {
 			r.OnCell(done, total)
 		}
-	})
-	return Table{Spec: spec, Reps: r.reps(), Rows: rows}, err
+	}
+	perPool := len(rows)
+	if byRow {
+		perPool = 1
+	}
+	var firstErr error
+	var cells []*cellState
+	for lo := 0; lo < len(rows); lo += perPool {
+		// Cells are built per pool, so a finished pool's accumulators
+		// are garbage before the next pool starts.
+		cells = cells[:0]
+		for ri := lo; ri < min(lo+perPool, len(rows)); ri++ {
+			for ci, s := range schemes {
+				cells = append(cells, r.newCellState(spec, ri, ci, rows[ri].U, rows[ri].Lambda, s))
+			}
+		}
+		if err := r.runShards(ctx, cells, onDone); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return Table{Spec: spec, Reps: r.reps(), Rows: rows}, firstErr
 }
 
 // RunAll runs every sub-table.

@@ -119,3 +119,38 @@ func TestExtensionE3ImperfectFT(t *testing.T) {
 		t.Fatal("CSV header lacks sdc column")
 	}
 }
+
+// TestExtensionTableOnCell: the extension runner reports every finished
+// cell through OnCell with table-wide counts — done runs 1..total in
+// order across the row-by-row pools — and through Progress, and marks
+// every cell Done.
+func TestExtensionTableOnCell(t *testing.T) {
+	spec := ExtensionTables()[3] // E4
+	spec.Us = spec.Us[:2]
+	var dones []int
+	lines := 0
+	r := Runner{Reps: 8, Seed: 5, Workers: 2}
+	r.OnCell = func(done, total int) {
+		if want := len(spec.Us) * len(spec.Lambdas) * 5; total != want {
+			t.Errorf("OnCell total = %d, want %d", total, want)
+		}
+		dones = append(dones, done)
+	}
+	r.Progress = func(string, ...any) { lines++ }
+	tbl, err := r.RunExtensionTable(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, total := tbl.CellsDone()
+	if done != total || total != len(spec.Us)*len(spec.Lambdas)*5 {
+		t.Fatalf("CellsDone = %d/%d", done, total)
+	}
+	if len(dones) != total || lines != total {
+		t.Fatalf("OnCell called %d times, Progress %d, want %d each", len(dones), lines, total)
+	}
+	for i, d := range dones {
+		if d != i+1 {
+			t.Fatalf("OnCell done sequence %v, want 1..%d", dones, total)
+		}
+	}
+}

@@ -149,8 +149,7 @@ type sched struct {
 
 	mu       sync.Mutex
 	firstErr error
-	done     int
-	onDone   func(c *cellState, sum stats.Summary, done, total int)
+	onDone   func(c *cellState, sum stats.Summary)
 	wg       sync.WaitGroup
 }
 
@@ -161,7 +160,7 @@ type sched struct {
 // remaining units still drain fast (failed cells skip execution), and
 // the first error is returned; completed cells have already been
 // reported.
-func (r Runner) runShards(ctx context.Context, cells []*cellState, onDone func(*cellState, stats.Summary, int, int)) error {
+func (r Runner) runShards(ctx context.Context, cells []*cellState, onDone func(*cellState, stats.Summary)) error {
 	size := r.shardSize()
 	reps := r.reps()
 	var units []shardUnit
@@ -586,9 +585,8 @@ func (s *sched) finishCell(c *cellState) {
 		s.sink.Event("cell.finish", attrs)
 	}
 	s.mu.Lock()
-	s.done++
 	if s.onDone != nil {
-		s.onDone(c, sum, s.done, len(s.cells))
+		s.onDone(c, sum)
 	}
 	s.mu.Unlock()
 }

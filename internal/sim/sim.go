@@ -268,6 +268,17 @@ type Engine struct {
 	sstats      *store.Stats
 	ownStats    store.Stats
 	lastGoodSeq uint64
+	// tierWall caches each tier's costs at the current operating point
+	// (refreshTierCosts), refreshed with wall on every speed change.
+	tierWall [store.MaxTiers]tierCosts
+}
+
+// tierCosts is one store tier's per-image charges at the current
+// operating point.
+type tierCosts struct {
+	write, read float64 // wall-clock write and read durations
+	readCycles  float64 // read cost at minimum speed, for the stats ledger
+	corruption  float64 // per-write silent-corruption probability
 }
 
 // NewEngine prepares a fresh execution: clocks at zero, the processor at
@@ -289,6 +300,7 @@ func (e *Engine) Reset(p Params, src *rng.Source) {
 	e.src = src
 	e.t, e.x = 0, 0
 	e.cur = p.CPUModel().Min()
+	e.set.Configure(p.Store)
 	e.refreshSpeedCosts()
 	if e.meter == nil {
 		e.meter = cpu.NewMeter(p.ReplicaCount())
@@ -303,7 +315,6 @@ func (e *Engine) Reset(p Params, src *rng.Source) {
 	}
 	e.store.Reset()
 	e.missed, e.corruptRestores, e.restarts = 0, 0, 0
-	e.set.Configure(p.Store)
 	e.lastGoodSeq = 0
 	e.sstats = p.StoreStats
 	if e.sstats == nil {
@@ -342,6 +353,7 @@ func (e *Engine) refreshSpeedCosts() {
 	e.wall[checkpoint.CCP] = e.p.Costs.AtSpeed(checkpoint.CCP, f)
 	e.wall[checkpoint.CSCP] = e.p.Costs.AtSpeed(checkpoint.CSCP, f)
 	e.wallRollback = e.p.Costs.Rollback / f
+	e.refreshTierCosts()
 }
 
 // wallCost returns the wall-clock duration of one checkpoint of kind k at

@@ -50,17 +50,13 @@ func (e *Engine) pushImage(work float64, diverged, preCorrupted bool) {
 	if evicted {
 		st.Evictions++
 	}
-	cfg := e.set.Config()
-	for wi, w := range writes {
+	st.Demotions += uint64(len(writes) - 1)
+	for _, w := range writes {
 		st.TierWrites[w.Tier]++
-		if wi > 0 {
-			st.Demotions++
+		if d := e.tierWall[w.Tier].write; d > 0 {
+			e.Spend(d)
 		}
-		tier := cfg.Tiers[w.Tier]
-		if tier.WriteCycles > 0 {
-			e.Spend(tier.WriteCycles / e.cur.Freq)
-		}
-		if tier.Corruption > 0 && e.src.Float64() < tier.Corruption {
+		if p := e.tierWall[w.Tier].corruption; p > 0 && e.src.Float64() < p {
 			e.set.MarkCorrupted(w.Index)
 		}
 	}
@@ -79,13 +75,32 @@ func (e *Engine) pushImage(work float64, diverged, preCorrupted bool) {
 // chargeRestoreAttempt charges one restore attempt from image index i
 // (tier read cycles at the current speed) and records it.
 func (e *Engine) chargeRestoreAttempt(i int) {
-	tier := e.set.Tier(i)
 	ti := e.set.Images()[i].Tier
 	st := e.sstats
 	st.TierRestores[ti]++
-	st.TierRestoreCycles[ti] += tier.ReadCycles
-	if tier.ReadCycles > 0 {
-		e.Spend(tier.ReadCycles / e.cur.Freq)
+	st.TierRestoreCycles[ti] += e.tierWall[ti].readCycles
+	if d := e.tierWall[ti].read; d > 0 {
+		e.Spend(d)
+	}
+}
+
+// refreshTierCosts recomputes the per-tier wall-clock write and read
+// durations at the current operating point — the same cycles/f
+// divisions pushImage and chargeRestoreAttempt would otherwise evaluate
+// per image, so the cached values are bit-identical.
+func (e *Engine) refreshTierCosts() {
+	cfg := e.set.Config()
+	if cfg == nil {
+		return
+	}
+	f := e.cur.Freq
+	for t, tier := range cfg.Tiers {
+		e.tierWall[t] = tierCosts{
+			write:      tier.WriteCycles / f,
+			read:       tier.ReadCycles / f,
+			readCycles: tier.ReadCycles,
+			corruption: tier.Corruption,
+		}
 	}
 }
 

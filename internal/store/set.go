@@ -48,7 +48,7 @@ type Write struct {
 // inactive; Configure activates it for a run.
 type Set struct {
 	cfg    *Config
-	pol    Policy
+	geo    bool // quasi-geometric victim selection; evict-oldest otherwise
 	bound  int
 	prefix [MaxTiers]int // cumulative tier capacities
 	imgs   []Image
@@ -62,15 +62,13 @@ type Set struct {
 func (s *Set) Configure(cfg *Config) {
 	if cfg != s.cfg {
 		s.cfg = cfg
-		s.pol = nil
 		if cfg != nil {
-			pol, err := PolicyByName(cfg.Policy)
-			if err != nil {
+			if err := checkPolicy(cfg.Policy); err != nil {
 				// Config is validated at the Params boundary; reaching
 				// here is a programming error.
 				panic(err)
 			}
-			s.pol = pol
+			s.geo = cfg.Policy == PolicyQuasiGeometric
 			s.bound = cfg.Bound()
 			sum := 0
 			for i, t := range cfg.Tiers {
@@ -106,50 +104,54 @@ func (s *Set) Len() int { return len(s.imgs) }
 // the set's storage and is invalidated by the next mutating call.
 func (s *Set) Images() []Image { return s.imgs }
 
-// Tier returns the tier description image i currently resides in.
-func (s *Set) Tier(i int) Tier { return s.cfg.Tiers[s.imgs[i].Tier] }
-
 // MarkCorrupted flags image i as silently damaged.
 func (s *Set) MarkCorrupted(i int) { s.imgs[i].Corrupted = true }
-
-// rankTier maps a recency rank (0 = newest) to its tier index.
-func (s *Set) rankTier(rank int) int {
-	for t := 0; t < len(s.cfg.Tiers); t++ {
-		if rank < s.prefix[t] {
-			return t
-		}
-	}
-	// Unreachable when the set respects its bound (the last tier
-	// absorbs everything up to the summed capacity).
-	return len(s.cfg.Tiers) - 1
-}
 
 // Insert adds a fresh image at the given absolute work, evicting the
 // policy's victim first when the set is at its bound. It returns the
 // physical writes performed (the fresh image first, then demotions
 // newest-first) and whether an eviction happened. The returned slice is
 // scratch, reused by the next Insert.
+//
+// Tier assignment is by recency rank (0 = newest): rank r belongs in
+// the first tier t with r < prefix[t], and tiers are sticky, so every
+// retained image satisfies Tier >= its rank's tier after every Insert,
+// TruncateAfter and Clear. An insert moves each older image at most one
+// rank deeper, so only an image that just stepped onto a boundary rank
+// prefix[t] can fall below its rank's tier (t+1); checking those
+// len(Tiers)-1 ranks in ascending order yields exactly the demotions,
+// newest-first, that a scan of every image would.
 func (s *Set) Insert(work float64, diverged bool) (writes []Write, evicted bool) {
-	if s.bound > 0 && len(s.imgs) >= s.bound {
-		v := s.pol.Victim(s.imgs)
-		s.imgs = append(s.imgs[:v], s.imgs[v+1:]...)
-		evicted = true
-	}
 	s.seq++
-	s.imgs = append(s.imgs, Image{Work: work, Seq: s.seq, Diverged: diverged})
-	s.writes = s.writes[:0]
+	fresh := Image{Work: work, Seq: s.seq, Diverged: diverged}
 	n := len(s.imgs)
-	for i := n - 1; i >= 0; i-- {
-		rt := s.rankTier(n - 1 - i)
-		if i == n-1 {
-			// The fresh image always lands in the fastest tier.
-			s.imgs[i].Tier = rt
-			s.writes = append(s.writes, Write{Index: i, Tier: rt})
-			continue
+	if s.bound > 0 && n >= s.bound {
+		v := 0 // evict-oldest
+		if s.geo {
+			v = quasiGeometricVictim(s.imgs)
 		}
-		if rt > s.imgs[i].Tier {
-			s.imgs[i].Tier = rt
-			s.writes = append(s.writes, Write{Index: i, Tier: rt})
+		// Close the victim's gap and reuse the last slot for the fresh
+		// image; the set never holds more than a handful of images, so
+		// an element loop beats a memmove call.
+		for i := v; i < n-1; i++ {
+			s.imgs[i] = s.imgs[i+1]
+		}
+		s.imgs[n-1] = fresh
+		evicted = true
+	} else {
+		s.imgs = append(s.imgs, fresh)
+		n++
+	}
+	// The fresh image always lands in the fastest tier.
+	s.writes = append(s.writes[:0], Write{Index: n - 1})
+	for t := 0; t < len(s.cfg.Tiers)-1; t++ {
+		i := n - 1 - s.prefix[t]
+		if i < 0 {
+			break
+		}
+		if s.imgs[i].Tier <= t {
+			s.imgs[i].Tier = t + 1
+			s.writes = append(s.writes, Write{Index: i, Tier: t + 1})
 		}
 	}
 	return s.writes, evicted

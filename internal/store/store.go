@@ -7,8 +7,8 @@
 // subsystem: a run holds at most k checkpoint images spread over a
 // small stack of tiers (RAM → NVRAM → flash/remote), each tier with a
 // capacity in images and per-image write/read cycle costs derived from
-// the storage.Device models. When the set is full, a Policy decides
-// which image to *keep* — evict-oldest as the baseline, and a
+// the storage.Device models. When the set is full, the maintenance
+// policy decides which image to *keep* — evict-oldest as the baseline, and a
 // Bringmann-style quasi-geometric spacing policy that retains a set of
 // checkpoints whose distances into the past grow (at most)
 // geometrically, so a deep rollback always finds a survivor within a
@@ -108,7 +108,7 @@ func (c *Config) Validate() error {
 	if c.K > 0 && !unlimited && c.K > total {
 		return fmt.Errorf("store: retention bound k=%d exceeds total tier capacity %d", c.K, total)
 	}
-	if _, err := PolicyByName(c.Policy); err != nil {
+	if err := checkPolicy(c.Policy); err != nil {
 		return err
 	}
 	return nil

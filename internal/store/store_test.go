@@ -117,10 +117,15 @@ func TestSetBoundInvariant(t *testing.T) {
 }
 
 // TestTierOccupancyInvariant: no tier ever holds more images than its
-// capacity, and tier assignment is monotone in recency (an older image
-// never sits in a faster tier than a newer one at assignment time is
-// not required — stickiness allows holes — but capacity never
-// overflows).
+// capacity. It rests on two invariants every Insert, TruncateAfter and
+// Clear preserve: every image sits at or below its recency rank's tier
+// (Tier >= rankTier(rank)), and tiers are monotone in recency (an older
+// image never sits in a faster tier than a newer one). So tier t's
+// images form one contiguous rank range ending below prefix[t];
+// truncation and eviction only shrink it, and an insert grows it only by
+// demoting the image at rank prefix[t-1], after which the range starts
+// there and holds at most tier t's capacity. Holes are allowed: after a
+// truncation the newest image may sit in a deep tier.
 func TestTierOccupancyInvariant(t *testing.T) {
 	cfg := &Config{
 		Tiers: []Tier{
@@ -139,8 +144,13 @@ func TestTierOccupancyInvariant(t *testing.T) {
 	work := 0.0
 	check := func(step int) {
 		var occ [MaxTiers]int
-		for _, im := range s.Images() {
+		imgs := s.Images()
+		for i, im := range imgs {
 			occ[im.Tier]++
+			if i > 0 && imgs[i-1].Tier < im.Tier {
+				t.Fatalf("step %d: image %d (tier %d) is older than image %d (tier %d) but sits in a faster tier",
+					step, i-1, imgs[i-1].Tier, i, im.Tier)
+			}
 		}
 		for ti, tier := range cfg.Tiers {
 			if tier.Capacity > 0 && occ[ti] > tier.Capacity {
